@@ -7,7 +7,8 @@ records the wall-clock time of the whole figure regeneration.  Run
 
 import pytest
 
-from repro.bench import ALL_EXPERIMENTS, SCALES
+from repro.bench import ALL_EXPERIMENTS
+from repro.scales import SCALES
 
 
 @pytest.mark.benchmark(group="scalability")

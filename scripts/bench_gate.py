@@ -74,6 +74,8 @@ from typing import NamedTuple, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import repro  # noqa: E402
+from repro.bench.experiments import storm_spec  # noqa: E402
 from repro.bench.micro import MICRO_BENCHMARKS  # noqa: E402
 from repro.sim.engine import ENGINE_BACKEND  # noqa: E402
 
@@ -97,29 +99,24 @@ class E2ERow(NamedTuple):
     """One fixed-seed end-to-end row measured next to the micro benches."""
 
     name: str
-    protocol: str
-    workload: str
-    scale: str
-    #: ``None`` is the closed loop, a dict is an
-    #: :class:`repro.arrivals.ArrivalSpec` JSON form.
-    arrival: Optional[dict]
+    spec: repro.ScenarioSpec
     #: Cap on ``--repeats`` for this row (0 = no cap).  The million-key tier
     #: takes tens of seconds per run; best-of-3 would triple the gate's wall
     #: time for noise-damping the small rows don't need at that duration.
-    max_repeats: int
-    #: Named fault plan (currently only ``"standard_storm"``); ``None`` is a
-    #: fault-free run.
-    faults: Optional[str] = None
+    max_repeats: int = 0
 
 
 E2E_ROWS = (
-    E2ERow("ycsb_small", "primo", "ycsb", "small", None, 0),
-    E2ERow("tpcc_small", "primo", "tpcc", "small", None, 0),
-    E2ERow("ycsb_openloop_small", "primo", "ycsb", "small",
-           {"kind": "poisson", "rate_tps": 176_000.0}, 0),
-    E2ERow("ycsb_xlarge", "tapir", "ycsb", "xlarge", None, 1),
-    E2ERow("ycsb_storm_small", "primo", "ycsb", "small", None, 0,
-           "standard_storm"),
+    E2ERow("ycsb_small", repro.ScenarioSpec(protocol="primo", scale="small")),
+    E2ERow("tpcc_small", repro.ScenarioSpec(protocol="primo", workload="tpcc",
+                                            scale="small")),
+    E2ERow("ycsb_openloop_small", repro.ScenarioSpec(
+        protocol="primo", scale="small",
+        arrival={"kind": "poisson", "rate_tps": 176_000.0})),
+    E2ERow("ycsb_xlarge", repro.ScenarioSpec(protocol="tapir", scale="xlarge"),
+           max_repeats=1),
+    # The storm figure's own cell for primo.
+    E2ERow("ycsb_storm_small", storm_spec(repro.SCALES["small"], "primo")),
 )
 #: Correctness fields of an end-to-end row (machine-independent, enforced).
 E2E_CORRECTNESS_KEYS = ("committed", "aborted", "crash_aborted",
@@ -129,8 +126,8 @@ E2E_CORRECTNESS_KEYS = ("committed", "aborted", "crash_aborted",
 def _arrival_stamp(arrival) -> str:
     if arrival is None:
         return "closed"
-    rate = arrival.get("rate_tps")
-    return f"{arrival['kind']}@{rate:g}tps" if rate else arrival["kind"]
+    rate = arrival.rate_tps
+    return f"{arrival.kind}@{rate:g}tps" if rate else arrival.kind
 
 
 def run_e2e(row: E2ERow, traced: bool = False) -> dict:
@@ -140,50 +137,19 @@ def run_e2e(row: E2ERow, traced: bool = False) -> dict:
     ``mem_peak_mb``; its wall clock is *not* recorded (tracing roughly
     doubles it).
     """
-    from repro.bench.runner import SCALES, build_workload
-    from repro.cluster.cluster import Cluster
-    from repro.cluster.config import SystemConfig
-    from repro.faults import FaultPlan, standard_storm
-
-    scale = SCALES[row.scale]
-    config_kwargs = dict(
-        duration_us=scale.duration_us,
-        warmup_us=scale.warmup_us,
-        workers_per_partition=scale.workers_per_partition,
-        inflight_per_worker=scale.inflight_per_worker,
-    )
-    plan = None
-    if row.faults == "standard_storm":
-        from repro.bench.experiments import storm_duration_us
-
-        # Mirror the storm figure exactly: the fast failure detector (so the
-        # leader flap is detected and recovered inside the fixed-seed run)
-        # and the stretched >= 60 ms window — at the raw small-scale duration
-        # the flap's ~20 ms recovery quiesce would swallow the trailing
-        # stale-read window, leaving the stale_reads correctness key vacuous.
-        duration = storm_duration_us(scale)
-        config_kwargs.update(duration_us=duration,
-                             heartbeat_interval_us=500.0,
-                             heartbeat_timeout_us=2_000.0)
-        plan = FaultPlan(events=tuple(
-            standard_storm(scale.warmup_us, duration)))
-    elif row.faults is not None:
-        raise SystemExit(f"unknown named fault plan {row.faults!r}")
-    config = SystemConfig.for_protocol(row.protocol, **config_kwargs)
     if traced:
         tracemalloc.start()
     try:
-        cluster = Cluster(config, build_workload(scale, row.workload),
-                          arrival=row.arrival, faults=plan)
+        cluster = repro.build(row.spec)
         start = time.perf_counter()
         result = cluster.run()
         wall_s = time.perf_counter() - start
         sample = {
             "wall_s": round(wall_s, 4),
-            "protocol": row.protocol,
-            "scale": row.scale,
-            "arrival": _arrival_stamp(row.arrival),
-            "faults": row.faults or "none",
+            "protocol": row.spec.protocol,
+            "scale": row.spec.scale.name,
+            "arrival": _arrival_stamp(row.spec.arrival),
+            "faults": f"{len(row.spec.faults)} events" if row.spec.faults else "none",
             "committed": result.metrics.committed,
             "aborted": result.metrics.aborted,
             "crash_aborted": result.metrics.crash_aborted,
@@ -312,7 +278,7 @@ def check(current: dict, baseline: dict, tolerance: float,
         row_name = row.name
         if row_name not in current:
             continue  # filtered out with --rows
-        stamp = _arrival_stamp(row.arrival)
+        stamp = _arrival_stamp(row.spec.arrival)
         base_row = baseline.get(row_name)
         cur_row = current[row_name]
         if base_row is None:

@@ -2,7 +2,6 @@
 
 from .experiments import ALL_EXPERIMENTS, FIGURES, FigureSpec
 from .orchestrator import Cell, ResultCache, SweepOutcome, make_cell, run_cells
-from .runner import SCALES, BenchScale, build_cluster, build_workload, run_config
 
 __all__ = [
     "ALL_EXPERIMENTS",
@@ -13,9 +12,4 @@ __all__ = [
     "SweepOutcome",
     "make_cell",
     "run_cells",
-    "SCALES",
-    "BenchScale",
-    "build_cluster",
-    "build_workload",
-    "run_config",
 ]

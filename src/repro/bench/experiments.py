@@ -24,12 +24,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..core.analysis import AnalysisParameters, ConflictRateModel
-from ..registry import FIGURE_REGISTRY
+from ..faults import fault, standard_storm
+from ..registry import FIGURE_REGISTRY, PROTOCOL_REGISTRY
+from ..scales import SCALES, BenchScale, sweep_values
 from ..scenario import ScenarioSpec, sweep as scenario_sweep
 from ..sim.stats import BREAKDOWN_COMPONENTS
 from .orchestrator import Cell, make_cell, run_cells
 from .report import print_header, print_table
-from .runner import BenchScale, SCALES, sweep_values
 
 __all__ = [
     "ALL_EXPERIMENTS",
@@ -479,7 +480,7 @@ def fig12_plan(scale: BenchScale) -> list[Cell]:
             "fig12", f"{scheme}@i{interval_ms}", "primo", scale,
             workload="ycsb", durability=scheme,
             epoch_length_us=interval_ms * 1000.0,
-            crash_partition=1, crash_time_us=crash_time,
+            faults=[fault("crash", at_us=crash_time, target=1)],
         )
         for interval_ms in intervals_ms
         for scheme in ("wm", "coco")
@@ -527,9 +528,6 @@ FIG13_SLOW_VARIANTS = (
 
 
 def fig13_plan(scale: BenchScale) -> list[Cell]:
-    # Both halves are declarative fault plans now; the legacy scalar knobs
-    # compile to exactly these events (bit-identity pinned by
-    # tests/api/test_faults.py).
     delays_ms = sweep_values([0.0, 5.0, 10.0, 20.0, 30.0], scale)
     cells = [
         # (a) delay only the watermark/epoch control messages of partition 1.
@@ -865,31 +863,34 @@ def storm_duration_us(scale: BenchScale) -> float:
     return max(scale.duration_us * 3.0, 60_000.0)
 
 
-def storm_plan(scale: BenchScale) -> list[Cell]:
-    """One :func:`repro.faults.standard_storm` run per registered protocol."""
-    from ..faults import standard_storm
-    from ..registry import PROTOCOL_REGISTRY
+def storm_spec(scale: BenchScale, protocol: str) -> ScenarioSpec:
+    """``protocol`` on YCSB under :func:`repro.faults.standard_storm`.
 
+    Shared by the storm figure and the bench gate's storm row.  The window
+    is stretched to :func:`storm_duration_us` (at the raw small-scale
+    duration the flap's ~20 ms recovery quiesce would swallow the trailing
+    stale-read window) and the failure detector is fast, so the storm's
+    leader flap is detected and recovered well inside the window.
+    """
     duration = storm_duration_us(scale)
-    return [
-        make_cell(
-            "storm", protocol, protocol, scale,
-            faults=standard_storm(scale.warmup_us, duration),
-            duration_us=duration,
-            # A fast failure detector, so the storm's leader flap is detected
-            # and recovered well inside the measurement window.
-            heartbeat_interval_us=500.0,
-            heartbeat_timeout_us=2_000.0,
-        )
-        for protocol in PROTOCOL_REGISTRY.names()
-    ]
+    return ScenarioSpec(
+        protocol=protocol, scale=scale,
+        faults=standard_storm(scale.warmup_us, duration),
+        config_overrides={"duration_us": duration,
+                          "heartbeat_interval_us": 500.0,
+                          "heartbeat_timeout_us": 2_000.0},
+    )
+
+
+def storm_plan(scale: BenchScale) -> list[Cell]:
+    """One :func:`storm_spec` run per registered protocol."""
+    return [Cell("storm", protocol, storm_spec(scale, protocol))
+            for protocol in PROTOCOL_REGISTRY.names()]
 
 
 def storm_render(scale: BenchScale, results: dict) -> dict:
     """Per-protocol degradation/recovery table + the windowed tps series."""
     from statistics import median
-
-    from ..registry import PROTOCOL_REGISTRY
 
     print_header(
         "The standard storm: degradation and recovery under replication faults",

@@ -74,7 +74,10 @@ __all__ = [
 #: coexist on CI.
 SUBSTRATE_VERSION = _REPRO_VERSION
 
-#: Version of the on-disk cache file format itself.  v6: spec JSON can carry
+#: Version of the on-disk cache file format itself.  v7: spec JSON lost its
+#: two retired scalar fault-knob keys (those faults are ``faults`` events
+#: now), so every spec's canonical JSON — and cache key — changed; stale v6
+#: caches degrade to misses.  v6: spec JSON can carry
 #: a geo ``topology`` (omitted for flat-network specs, whose cache keys are
 #: therefore unchanged) and fault-run result documents carry a windowed
 #: ``timeline`` (degradation/recovery metrics); stale v5 caches degrade to
@@ -89,7 +92,7 @@ SUBSTRATE_VERSION = _REPRO_VERSION
 #: so fault schedules and mix weights are part of every cell's cache
 #: identity.  v2: cells carry a ScenarioSpec and cache keys hash its
 #: canonical JSON.
-CACHE_SCHEMA_VERSION = 6
+CACHE_SCHEMA_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -111,19 +114,6 @@ class Cell:
     def cell_id(self) -> str:
         return f"{self.figure}/{self.key}"
 
-    # Convenience accessors kept from the pre-spec Cell shape.
-    @property
-    def protocol(self) -> str:
-        return self.spec.protocol
-
-    @property
-    def workload(self) -> str:
-        return self.spec.workload
-
-    @property
-    def scale(self) -> BenchScale:
-        return self.spec.scale
-
     def cache_key(self) -> str:
         """Stable content hash of the spec's canonical JSON + substrate version."""
         payload = (
@@ -143,11 +133,12 @@ def make_cell(
     faults=None,
     arrival=None,
     topology=None,
-    durability_message_delay: Optional[tuple] = None,
-    network_extra_delay_to: Optional[tuple] = None,
+    durability: Optional[str] = None,
     **config_overrides,
 ) -> Cell:
-    """Convenience constructor mirroring :func:`repro.bench.runner.run_config`.
+    """A :class:`Cell` over a :class:`~repro.scenario.ScenarioSpec` built
+    from these keywords; loose ``config_overrides`` are
+    :class:`~repro.cluster.config.SystemConfig` knobs.
 
     Spec validation runs here — a typo'd protocol, workload, override key,
     fault kind or mix component fails while the figure is being *planned*,
@@ -159,14 +150,13 @@ def make_cell(
         spec=ScenarioSpec(
             protocol=protocol,
             workload=workload,
+            durability=durability,
             scale=scale,
             workload_overrides=workload_overrides or {},
             config_overrides=config_overrides,
             faults=faults,
             arrival=arrival,
             topology=topology,
-            durability_message_delay=durability_message_delay,
-            network_extra_delay_to=network_extra_delay_to,
         ),
     )
 
@@ -212,11 +202,6 @@ def execute_cell_json(cell: Cell, profile_dir: Optional[str] = None) -> dict:
     ones.
     """
     return execute_cell(cell, profile_dir=profile_dir).to_json_dict()
-
-
-# Kept under the historical private name for pickling compatibility with
-# in-flight pools started by older call sites.
-_pool_execute = execute_cell_json
 
 
 def run_cached_cell(cell: Cell, cache, profile_dir: Optional[str] = None) -> RunResult:

@@ -45,9 +45,11 @@ __all__ = [
     "load_manifest",
 ]
 
-#: Version of the manifest directory format.  v1: manifest.json + cells.jsonl
+#: Version of the manifest directory format.  v2: the embedded base spec lost
+#: its two retired scalar fault-knob keys, so a v1 manifest fails on its
+#: version rather than on an unknown spec field.  v1: manifest.json + cells.jsonl
 #: with lean per-cell lines keyed by orchestrator content hashes.
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 
 class ManifestError(RuntimeError):

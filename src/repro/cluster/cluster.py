@@ -24,7 +24,7 @@ from typing import Optional
 
 from ..arrivals import AdmissionQueue, ArrivalSpec, start_open_loop
 from ..commit import create_durability_scheme
-from ..faults import FaultPlan, FaultScheduler, compile_legacy_faults
+from ..faults import FaultPlan, FaultScheduler
 from ..protocols import create_protocol
 from ..replication.membership import MembershipService
 from ..sim.engine import Environment
@@ -47,9 +47,8 @@ class Cluster:
     """A simulated cluster running one protocol on one workload.
 
     ``faults`` is an optional declarative :class:`~repro.faults.FaultPlan`
-    (or a list of fault events); the legacy ``config.crash_partition`` /
-    ``config.crash_time_us`` knobs are compiled onto the same plan, so both
-    spellings share one injection path.  ``arrival`` is an optional
+    (or a list of fault events) — the only way to inject a crash, a delay
+    or any other fault into the run.  ``arrival`` is an optional
     :class:`~repro.arrivals.ArrivalSpec` (or its kind name / JSON form)
     selecting an open-loop arrival process; ``None`` — and the explicit
     ``"closed"`` kind — run the historical closed-loop worker pool
@@ -116,11 +115,7 @@ class Cluster:
             heartbeat_timeout_us=config.heartbeat_timeout_us,
         )
         self.recovery = RecoveryCoordinator(self)
-        plan = FaultPlan.coerce(faults) or FaultPlan()
-        self.fault_plan = plan.extend(compile_legacy_faults(
-            crash_partition=config.crash_partition,
-            crash_time_us=config.crash_time_us,
-        ))
+        self.fault_plan = FaultPlan.coerce(faults) or FaultPlan()
         self.fault_scheduler = FaultScheduler(self, self.fault_plan)
         # The logs' full record history exists only for the recovery sweep
         # after an injected fault (§5.2 rollback, watermark agreement).  A

@@ -2,10 +2,11 @@
 
 A :class:`ScenarioSpec` captures one (protocol × durability × workload ×
 scale × knobs) evaluation point as a frozen, JSON-round-trippable value.
-Everything the repo runs — ``repro.run``, ``repro.bench.runner.run_config``,
-the figure orchestrator's cells, ``python -m repro.bench --scenario`` — is
-built from one, so there is exactly one code path from "named configuration"
-to "running cluster".
+Everything the repo runs — ``repro.run``/``repro.build``, the figure
+orchestrator's cells, the bench gate's rows, ``python -m repro.bench
+--scenario`` — is built from one, and :func:`build` is the only code path
+from "named configuration" to "running cluster".  Faults are declared only
+as ``faults=[fault(...)]`` events (see :mod:`repro.faults`).
 
 Specs validate **eagerly at construction**: protocol/durability/workload
 names are checked against the registries (:mod:`repro.registry`) and override
@@ -44,7 +45,7 @@ from .arrivals import ArrivalSpec
 from .cluster.cluster import Cluster
 from .cluster.config import SystemConfig
 from .cluster.results import RunResult
-from .faults import FaultPlan, compile_legacy_faults
+from .faults import FaultPlan
 from .registry import (
     DURABILITY_REGISTRY,
     PROTOCOL_REGISTRY,
@@ -73,6 +74,24 @@ _CONFIG_FIELD_NAMES = tuple(
     f.name for f in fields(SystemConfig) if f.name not in ("protocol", "durability")
 )
 
+#: Retired spellings and their replacements: an old scenario file or override
+#: dict fails with a pointer to the current form, not a bare "unknown" error.
+_CRASH_HINT = 'use faults=[fault("crash", at_us=t, target=p)]'
+_RETIRED = {
+    "durability": "set the spec's 'durability' field",
+    "durability_message_delay":
+        'use faults=[fault("message_delay", target=p, delay_us=d)]',
+    "network_extra_delay_to":
+        'use faults=[fault("slow_partition", target=p, delay_us=d)]',
+    "crash_partition": _CRASH_HINT,
+    "crash_time_us": _CRASH_HINT,
+}
+
+
+def _hint(name: str, choices) -> str:
+    retired = _RETIRED.get(name)
+    return f" (retired: {retired})" if retired else suggestion_hint(name, choices)
+
 
 def _normalize_value(name: str, value: Any) -> Any:
     """Restrict override values to JSON-round-trippable shapes.
@@ -98,21 +117,12 @@ def _freeze_overrides(overrides, *, kind: str, valid: tuple[str, ...]) -> tuple:
     for name in items:
         if name not in valid:
             raise ValueError(
-                f"unknown {kind} override {name!r}{suggestion_hint(str(name), valid)}; "
+                f"unknown {kind} override {name!r}{_hint(str(name), valid)}; "
                 f"valid keys: {', '.join(valid)}"
             )
     return tuple(
         (name, _normalize_value(name, items[name])) for name in sorted(items)
     )
-
-
-def _freeze_delay(name: str, value) -> Optional[tuple]:
-    if value is None:
-        return None
-    pair = tuple(value)
-    if len(pair) != 2:
-        raise ValueError(f"{name} must be a (partition_id, delay_us) pair, got {value!r}")
-    return (int(pair[0]), float(pair[1]))
 
 
 @dataclass(frozen=True)
@@ -125,8 +135,7 @@ class ScenarioSpec:
     accepts a registered name or a ``{name: weight}`` mapping — sugar for the
     ``"mixed"`` composite workload.  ``faults`` is a declarative
     :class:`~repro.faults.FaultPlan` (or a list of fault-event dicts) applied
-    deterministically by the cluster's fault scheduler; the two scalar
-    fault knobs below predate it and now compile onto the same path.
+    deterministically by the cluster's fault scheduler.
     Override mappings are frozen into sorted pairs so equal scenarios hash
     and serialize identically regardless of how they were written.
     """
@@ -151,12 +160,6 @@ class ScenarioSpec:
     #: ``arrival`` it is omitted from the JSON form when ``None`` so
     #: pre-topology scenarios keep their orchestrator cache keys.
     topology: Optional[RegionTopology] = None
-    #: Legacy shim — (partition_id, delay_us); compiles to a zero-time
-    #: ``message_delay`` fault event (Fig. 13a's lagging control messages).
-    durability_message_delay: Optional[tuple] = None
-    #: Legacy shim — (partition_id, extra_delay_us); compiles to a zero-time
-    #: ``slow_partition`` fault event (Fig. 13b's slow partition).
-    network_extra_delay_to: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         def set_field(name: str, value) -> None:
@@ -180,23 +183,11 @@ class ScenarioSpec:
         workload_entry = WORKLOAD_REGISTRY.entry(self.workload)
         set_field("scale", resolve_scale(self.scale))
 
-        config_overrides = dict(self.config_overrides or ())
-        # ``durability`` is a first-class axis; accept it in the override dict
-        # (the historical run_config spelling) but store it on the field.
-        hoisted = config_overrides.pop("durability", None)
-        if hoisted is not None:
-            if self.durability is not None and self.durability != hoisted:
-                raise ValueError(
-                    f"durability given twice: field {self.durability!r} vs "
-                    f"config override {hoisted!r}"
-                )
-            set_field("durability", hoisted)
         if self.durability is not None:
             DURABILITY_REGISTRY.check(self.durability)
-
         set_field(
             "config_overrides",
-            _freeze_overrides(config_overrides, kind="config",
+            _freeze_overrides(self.config_overrides, kind="config",
                               valid=_CONFIG_FIELD_NAMES),
         )
         workload_fields = tuple(
@@ -241,14 +232,6 @@ class ScenarioSpec:
                     f"{suggestion_hint(unknown[0], names)}; mix components: "
                     f"{', '.join(names)}"
                 )
-        set_field(
-            "durability_message_delay",
-            _freeze_delay("durability_message_delay", self.durability_message_delay),
-        )
-        set_field(
-            "network_extra_delay_to",
-            _freeze_delay("network_extra_delay_to", self.network_extra_delay_to),
-        )
 
     # -- resolution -------------------------------------------------------------
     @property
@@ -276,8 +259,6 @@ class ScenarioSpec:
             "config_overrides": {name: plain(v) for name, v in self.config_overrides},
             "workload_overrides": {name: plain(v) for name, v in self.workload_overrides},
             "faults": self.faults.to_json_list() if self.faults is not None else None,
-            "durability_message_delay": plain(self.durability_message_delay),
-            "network_extra_delay_to": plain(self.network_extra_delay_to),
         }
         if self.arrival is not None:
             # Omitted when None (the closed loop) so pre-arrival scenarios
@@ -300,7 +281,7 @@ class ScenarioSpec:
         if unknown:
             raise ValueError(
                 f"unknown scenario field(s) {', '.join(map(repr, unknown))}"
-                f"{suggestion_hint(unknown[0], tuple(known))}"
+                f"{_hint(unknown[0], tuple(known))}"
             )
         kwargs = dict(data)
         if "protocol" not in kwargs:
@@ -509,12 +490,12 @@ def build_workload(scale, workload: str = "ycsb", **overrides) -> Workload:
 def build(spec: ScenarioSpec) -> Cluster:
     """Build (but do not run) the cluster for one scenario.
 
-    The single assembly path shared by ``repro.run``, ``run_config`` and the
-    orchestrator's cell executor: scale presets fill any config knob the spec
-    does not override, the protocol's default durability pairing applies
-    unless the spec names a scheme, and the fault plan — including the
-    legacy scalar knobs, which compile to zero-time fault events — is handed
-    to the cluster's deterministic fault scheduler.
+    The only path from a named configuration to a cluster (``repro.run``,
+    the orchestrator's cell executor and the bench gate all come through
+    here): scale presets fill any config knob the spec does not override,
+    the protocol's default durability pairing applies unless the spec names
+    a scheme, and the fault plan is handed to the cluster's deterministic
+    fault scheduler.
     """
     scale = spec.scale
     overrides = dict(spec.config_overrides)
@@ -526,16 +507,7 @@ def build(spec: ScenarioSpec) -> Cluster:
         overrides["durability"] = spec.durability
     config = SystemConfig.for_protocol(spec.protocol, **overrides)
     workload = build_workload(scale, spec.workload, **dict(spec.workload_overrides))
-    shimmed = compile_legacy_faults(
-        durability_message_delay=spec.durability_message_delay,
-        network_extra_delay_to=spec.network_extra_delay_to,
-    )
-    plan = spec.faults if spec.faults is not None else FaultPlan()
-    if shimmed:
-        # Legacy knobs apply before the plan's own zero-time events, matching
-        # the pre-plan application point (right after cluster construction).
-        plan = FaultPlan(events=tuple(shimmed)).extend(plan.events)
-    return Cluster(config, workload, faults=plan, arrival=spec.arrival,
+    return Cluster(config, workload, faults=spec.faults, arrival=spec.arrival,
                    topology=spec.topology)
 
 

@@ -6,9 +6,9 @@ Covers the three contractual properties of :class:`repro.ScenarioSpec`:
   unknown override keys raise at *construction*, with did-you-mean hints;
 * **JSON round trip** — ``from_json(to_json(spec)) == spec`` and the
   canonical JSON is stable under override-dict ordering;
-* **single entry point** — ``repro.run(spec)`` is bit-identical to the
-  historical ``run_config(...)`` for every registered (protocol × workload)
-  pair at ``TINY_SCALE``.
+* **single entry point** — ``repro.run(spec)`` is bit-identical to a
+  cluster assembled by hand from ``SystemConfig`` and the workload object
+  for every registered (protocol × workload) pair at ``TINY_SCALE``.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import json
 import pytest
 
 import repro
-from repro import ScenarioSpec
-from repro.bench.runner import run_config
+from repro import Cluster, ScenarioSpec, SystemConfig, fault
 from repro.registry import PROTOCOL_REGISTRY, WORKLOAD_REGISTRY, UnknownNameError
 from repro.scales import SCALES, TINY_SCALE
-from repro.scenario import build, sweep
+from repro.scenario import build, build_workload, sweep
 
 
 def fingerprint(result) -> tuple:
@@ -73,15 +72,6 @@ def test_unknown_scale_name_fails_with_suggestion():
         ScenarioSpec(protocol="primo", scale="samll")
 
 
-def test_durability_accepted_as_config_override_but_not_twice():
-    spec = ScenarioSpec(protocol="primo", config_overrides={"durability": "coco"})
-    assert spec.durability == "coco"
-    assert dict(spec.config_overrides) == {}
-    with pytest.raises(ValueError, match="durability given twice"):
-        ScenarioSpec(protocol="primo", durability="wm",
-                     config_overrides={"durability": "coco"})
-
-
 def test_resolved_durability_follows_the_registered_pairing():
     assert ScenarioSpec(protocol="primo").resolved_durability == "wm"
     assert ScenarioSpec(protocol="tapir").resolved_durability == "sync"
@@ -105,8 +95,8 @@ def test_json_round_trip_is_lossless():
         scale="tiny",
         config_overrides={"n_partitions": 2, "seed": 9},
         workload_overrides={"warehouses_per_partition": 3},
-        durability_message_delay=(1, 500.0),
-        network_extra_delay_to=(0, 125.0),
+        faults=[fault("message_delay", target=1, delay_us=500.0),
+                fault("slow_partition", target=0, delay_us=125.0)],
     )
     assert ScenarioSpec.from_json(spec.to_json()) == spec
     # And through a plain json load, as a scenario file would be read.
@@ -239,13 +229,13 @@ def test_known_axes_covers_spec_config_and_workload_fields():
 
 def test_build_applies_scale_defaults_and_failure_knobs():
     spec = ScenarioSpec(protocol="primo", scale="tiny",
-                        network_extra_delay_to=(1, 200.0))
+                        faults=[fault("slow_partition", target=1, delay_us=200.0)])
     cluster = build(spec)
     assert cluster.config.duration_us == TINY_SCALE.duration_us
     assert cluster.config.workers_per_partition == TINY_SCALE.workers_per_partition
     assert cluster.workload.config.keys_per_partition == TINY_SCALE.ycsb_keys_per_partition
-    # The legacy knob compiles to a zero-time slow_partition fault event,
-    # installed when the cluster starts (before the first simulation event).
+    # A zero-time fault event is installed when the cluster starts (before
+    # the first simulation event).
     [event] = cluster.fault_plan.events
     assert (event.kind, event.target, dict(event.params)) == (
         "slow_partition", 1, {"delay_us": 200.0})
@@ -260,18 +250,23 @@ _PAIR_OVERRIDES = {"mixed": {"components": [["ycsb", 0.7], ["tatp", 0.3]]}}
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOL_REGISTRY.names()))
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_REGISTRY.names()))
-def test_run_spec_matches_run_config_bit_identically(protocol, workload):
-    """Acceptance: repro.run(ScenarioSpec(...)) == run_config(...) for every
-    registered (protocol × workload) pair at TINY_SCALE."""
+def test_run_spec_matches_hand_built_cluster_bit_identically(protocol, workload):
+    """Acceptance: repro.run(ScenarioSpec(...)) equals a Cluster assembled by
+    hand for every registered (protocol × workload) pair at TINY_SCALE."""
     workload_overrides = _PAIR_OVERRIDES.get(workload, {})
     spec = ScenarioSpec(protocol=protocol, workload=workload, scale=TINY_SCALE,
                         workload_overrides=workload_overrides,
                         config_overrides={"n_partitions": 2})
     via_facade = repro.run(spec)
-    via_runner = run_config(protocol, TINY_SCALE, workload=workload,
-                            workload_overrides=workload_overrides, n_partitions=2)
-    assert fingerprint(via_facade) == fingerprint(via_runner)
-    assert via_facade.durability == via_runner.durability == spec.resolved_durability
+    config = SystemConfig.for_protocol(
+        protocol, n_partitions=2,
+        duration_us=TINY_SCALE.duration_us, warmup_us=TINY_SCALE.warmup_us,
+        workers_per_partition=TINY_SCALE.workers_per_partition,
+        inflight_per_worker=TINY_SCALE.inflight_per_worker)
+    by_hand = Cluster(
+        config, build_workload(TINY_SCALE, workload, **workload_overrides)).run()
+    assert fingerprint(via_facade) == fingerprint(by_hand)
+    assert via_facade.durability == by_hand.durability == spec.resolved_durability
 
 
 def test_scale_defaults_size_tatp_and_smallbank():

@@ -18,8 +18,9 @@ from repro.bench.orchestrator import (
     make_cell,
     run_cells,
 )
-from repro.bench.runner import TINY_SCALE
 from repro.cluster.results import RunResult
+from repro.faults import fault
+from repro.scales import TINY_SCALE
 
 TEST_SCALE = TINY_SCALE
 
@@ -58,7 +59,7 @@ def test_cache_key_changes_with_physics():
     )
     assert (
         base.cache_key()
-        != cell(durability_message_delay=(1, 1000.0)).cache_key()
+        != cell(faults=[fault("message_delay", target=1, delay_us=1000.0)]).cache_key()
     )
 
 
@@ -181,7 +182,8 @@ def test_jobs_1_and_jobs_4_produce_identical_results(tmp_path):
         cell(key="primo"),
         cell(key="sundial", protocol="sundial"),
         cell(key="skewed", workload_overrides={"zipf_theta": 0.9}),
-        cell(key="delayed", durability_message_delay=(1, 2_000.0)),
+        cell(key="delayed",
+             faults=[fault("message_delay", target=1, delay_us=2_000.0)]),
     ]
     inline = run_cells(cells, jobs=1, cache=None)
     pooled = run_cells(cells, jobs=4, cache=ResultCache(tmp_path))
@@ -227,7 +229,7 @@ def test_cell_spec_is_a_validated_scenario():
 
     c = cell(workload_overrides={"zipf_theta": 0.9})
     assert isinstance(c.spec, ScenarioSpec)
-    assert c.protocol == "primo" and c.workload == "ycsb"
+    assert c.spec.protocol == "primo" and c.spec.workload == "ycsb"
     assert dict(c.spec.workload_overrides) == {"zipf_theta": 0.9}
     # Cache keys hash the spec's canonical JSON plus the substrate version.
     assert c.cache_key() == Cell("other", "name", c.spec).cache_key()

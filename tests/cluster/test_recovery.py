@@ -3,27 +3,28 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.faults import fault
 
 from tests.conftest import TransferWorkload, tiny_config, tiny_ycsb
 
 
-def crash_config(protocol="primo", durability="wm", **overrides):
+def crashed_cluster(workload, protocol="primo", durability="wm", **overrides):
+    """A cluster whose partition 1 leader crashes at t = 15 ms."""
     settings = dict(
         durability=durability,
         duration_us=30_000.0,
         warmup_us=2_000.0,
         epoch_length_us=2_000.0,
-        crash_partition=1,
-        crash_time_us=15_000.0,
         heartbeat_interval_us=500.0,
         heartbeat_timeout_us=2_000.0,
     )
     settings.update(overrides)
-    return tiny_config(protocol, **settings)
+    return Cluster(tiny_config(protocol, **settings), workload,
+                   faults=[fault("crash", at_us=15_000.0, target=1)])
 
 
 def test_crash_is_detected_and_recovered():
-    cluster = Cluster(crash_config(), tiny_ycsb())
+    cluster = crashed_cluster(tiny_ycsb())
     result = cluster.run()
     assert result.metrics.counters.get("crashes_injected") == 1
     assert cluster.recovery.stats["recoveries"] >= 1
@@ -34,17 +35,15 @@ def test_crash_is_detected_and_recovered():
 
 
 def test_crash_aborts_transactions_above_the_agreed_watermark():
-    cluster = Cluster(
-        crash_config(n_partitions=3, workers_per_partition=2, inflight_per_worker=2),
-        tiny_ycsb(),
-    )
+    cluster = crashed_cluster(
+        tiny_ycsb(), n_partitions=3, workers_per_partition=2, inflight_per_worker=2)
     result = cluster.run()
     assert result.metrics.crash_aborted > 0
     assert 0.0 < result.crash_abort_rate < 1.0
 
 
 def test_recovery_agrees_on_the_maximum_published_watermark():
-    cluster = Cluster(crash_config(), tiny_ycsb())
+    cluster = crashed_cluster(tiny_ycsb())
     cluster.run()
     term = cluster.membership.current_term
     assert term >= 1
@@ -57,7 +56,7 @@ def test_recovery_agrees_on_the_maximum_published_watermark():
 def test_rollback_preserves_the_transfer_invariant():
     """After crash + rollback the total balance must still be conserved."""
     workload = TransferWorkload(accounts_per_partition=100)
-    cluster = Cluster(crash_config(), workload)
+    cluster = crashed_cluster(workload)
     cluster.run()
     assert workload.total_balance(cluster) == pytest.approx(
         workload.expected_total(cluster), rel=1e-9
@@ -66,14 +65,14 @@ def test_rollback_preserves_the_transfer_invariant():
 
 def test_throughput_continues_after_recovery():
     """Primo keeps processing transactions after the failed partition rejoins."""
-    cluster = Cluster(crash_config(duration_us=40_000.0), tiny_ycsb())
+    cluster = crashed_cluster(tiny_ycsb(), duration_us=40_000.0)
     result = cluster.run()
     # Transactions were still being committed in the post-recovery period.
     assert result.committed > 100
 
 
 def test_coco_crash_aborts_the_epoch():
-    cluster = Cluster(crash_config(protocol="sundial", durability="coco"), tiny_ycsb())
+    cluster = crashed_cluster(tiny_ycsb(), protocol="sundial", durability="coco")
     result = cluster.run()
     assert cluster.durability.stats["epochs_aborted"] >= 1
     assert result.metrics.crash_aborted > 0

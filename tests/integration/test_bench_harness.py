@@ -1,9 +1,11 @@
-"""Smoke tests of the benchmark harness (runner, sweeps, CLI plumbing)."""
+"""Smoke tests of the benchmark harness (runs, sweeps, CLI plumbing)."""
 
 import pytest
 
-from repro.bench import ALL_EXPERIMENTS, SCALES, build_workload, run_config
-from repro.bench.runner import TINY_SCALE, sweep_values
+import repro
+from repro.bench import ALL_EXPERIMENTS
+from repro.scales import SCALES, TINY_SCALE, sweep_values
+from repro.scenario import build_workload
 from repro.bench.report import format_ratio, print_header, print_table
 
 
@@ -52,18 +54,18 @@ def test_figure_functions_render_from_preexecuted_results():
     assert data == inline  # rendering is a pure function of the results
 
 
-def test_run_config_returns_a_result_for_every_protocol():
-    result = run_config("primo", TEST_SCALE, workload="ycsb")
+def test_run_returns_a_result():
+    result = repro.run(repro.ScenarioSpec(protocol="primo", scale=TEST_SCALE))
     assert result.protocol == "primo"
     assert result.committed > 0
 
 
-def test_run_config_applies_workload_and_config_overrides():
-    result = run_config(
-        "sundial", TEST_SCALE, workload="ycsb",
+def test_run_applies_workload_and_config_overrides():
+    result = repro.run(repro.ScenarioSpec(
+        protocol="sundial", scale=TEST_SCALE,
         workload_overrides={"zipf_theta": 0.0},
-        n_partitions=2,
-    )
+        config_overrides={"n_partitions": 2},
+    ))
     assert result.n_partitions == 2
 
 

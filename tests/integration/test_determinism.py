@@ -20,6 +20,7 @@ committed ``BENCH_substrate.json``.
 
 import pytest
 
+from repro import ScenarioSpec, build
 from repro.arrivals import arrival
 from repro.cluster.cluster import Cluster
 from tests.conftest import run_tiny, tiny_config, tiny_ycsb
@@ -104,6 +105,27 @@ def test_same_config_is_deterministic_within_a_process():
     assert first.metrics.aborted == second.metrics.aborted
     assert first.network_messages == second.network_messages
     assert first_cluster.env.now == second_cluster.env.now
+
+
+def test_tpcc_lock_traffic_repeats_within_a_process():
+    """Lock wake-up order must not depend on where records sit in memory: a
+    second in-process run of a contended TPC-C spec (fresh Record objects at
+    new addresses) repeats the first one's counts and lock statistics."""
+    spec = ScenarioSpec(protocol="sundial", workload="tpcc", scale="tiny")
+
+    def observe():
+        cluster = build(spec)
+        result = cluster.run()
+        stats = [
+            {key: server.store.lock_manager.stats[key]
+             for key in ("grants", "waits", "aborts")}
+            for server in cluster.servers.values()
+        ]
+        return result.committed, result.aborted, stats
+
+    first = observe()
+    assert sum(s["waits"] for s in first[2]) > 0  # the locks are contended
+    assert observe() == first
 
 
 def test_seed_changes_the_outcome():

@@ -136,6 +136,30 @@ def test_release_wakes_compatible_shared_waiters_together():
     assert len(manager.holders_of(record)) == 2
 
 
+def test_release_all_wakes_waiters_in_acquisition_order():
+    """Wake-ups follow the holder's acquisition order, not the memory-address
+    order a set of identity-hashed records would iterate in."""
+    env, manager = make_manager()
+    records = [Record(i, {}) for i in range(64)]
+    order = list(reversed(list(set(records))))
+    holder = TxnId(1_000, 0)
+    for record in order:
+        assert acquire(env, manager, holder, record, LockMode.EXCLUSIVE) is True
+    woken = []
+
+    def wait(tid, record):
+        assert (yield from manager.acquire(tid, record, LockMode.EXCLUSIVE))
+        woken.append(record)
+
+    for i, record in enumerate(order):
+        env.process(wait(TxnId(i, 0), record))
+    env.run(until=env.now + 5)
+    assert woken == []
+    manager.release_all(holder)
+    env.run(until=env.now + 5)
+    assert woken == order
+
+
 def test_release_all_clears_every_lock():
     env, manager = make_manager()
     records = [Record(i, {}) for i in range(5)]
