@@ -13,15 +13,15 @@ one of two modes sharing a single retry body (:func:`_drive`):
 
 A fiber drives each transaction through the cluster's protocol with
 exponential back-off on aborts (§6.1.3), hands the committed transaction to
-the durability scheme, and — without blocking on the group commit — moves on
-to the next transaction.  A completion *callback* (one slotted object per
-committed transaction, attached straight to the durability event) records
-end-to-end latency once the result is durable, so latency includes the
-``return`` component without stalling the execution pipeline.  The durability
-schemes wake whole batches of these callbacks through one shared fast-lane
-notify (:meth:`~repro.sim.engine.Environment.succeed_all`): a group commit
-releasing ``k`` transactions costs one scheduled event, not ``k`` process
-resumptions.
+the durability scheme, retires its read/write sets, and — without blocking
+on the group commit — moves on to the next transaction.  A completion
+*callback* (one slotted object per committed transaction, attached straight
+to the durability event) records end-to-end latency once the result is
+durable, so latency includes the ``return`` component without stalling the
+execution pipeline.  The durability schemes wake whole batches of these
+callbacks through one shared fast-lane notify
+(:meth:`~repro.sim.engine.Environment.succeed_all`): a group commit releasing
+``k`` transactions costs one scheduled event, not ``k`` process resumptions.
 """
 
 from __future__ import annotations
@@ -121,6 +121,10 @@ def _drive(cluster: "Cluster", server: "Server", spec, first_start: float,
             cluster.record_commit(server, txn)
             durable_event = durability.transaction_executed(server, txn)
             durable_event.add_callback(_Completion(cluster, server, txn))
+            # Durability only needs the id, timestamps and timing from here
+            # on; the read/write sets would otherwise stay reachable for the
+            # whole group-commit wait.
+            txn.retire()
             break
 
         cluster.record_abort(server, txn)

@@ -89,7 +89,7 @@ class TicTocLocalExecutor:
             partition=server.partition_id,
             table=table,
             key=key,
-            value=dict(record.value),
+            value=record.snapshot(),
             wts=record.wts,
             rts=record.rts,
             version=record.version,
@@ -157,8 +157,7 @@ class TicTocLocalExecutor:
                     continue  # already exclusively locked above, rts extension trivial
                 if commit_ts <= record.rts:
                     continue  # still inside the valid interval, nothing to do
-                holders = lock_manager.holders_of(record)
-                if any(holder != txn.tid for holder in holders):
+                if lock_manager.locked_by_other(txn.tid, record):
                     # Another transaction holds the record exclusively and we
                     # need to extend rts: this is the (rare) abort Primo's
                     # extra read locks can cause (§4.2.1).

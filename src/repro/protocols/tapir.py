@@ -17,7 +17,7 @@ harness restricts TAPIR (and Primo, for fairness) to one worker per server.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..sim.engine import all_of
 from ..sim.network import NodeUnreachable
@@ -202,22 +202,25 @@ class TapirProtocol(BaseProtocol):
 
     def _send_decision(self, server: "Server", txn: Transaction, commit: bool,
                        commit_ts: float = 0.0) -> None:
+        # A commit decision carries each partition's writes: the one-way
+        # message lands after the coordinator has retired the transaction.
         for partition in sorted(txn.all_partitions()):
+            writes = txn.writes_for_partition(partition) if commit else None
             if partition == server.partition_id:
-                self._apply_decision(partition, txn, commit, commit_ts)
+                self._apply_decision(partition, txn, writes, commit_ts)
             else:
                 self.network.send(
                     server.partition_id, partition,
-                    self._apply_decision, partition, txn, commit, commit_ts,
+                    self._apply_decision, partition, txn, writes, commit_ts,
                 )
 
-    def _apply_decision(self, partition: int, txn: Transaction, commit: bool,
-                        commit_ts: float) -> None:
+    def _apply_decision(self, partition: int, txn: Transaction,
+                        writes: Optional[list], commit_ts: float) -> None:
+        """Apply a decision at ``partition``; ``writes`` is None for an abort."""
         target = self.server_of(partition)
         self._forget(partition, txn)
-        if not commit or target.crashed:
+        if writes is None or target.crashed:
             return
-        writes = txn.writes_for_partition(partition)
         if writes:
             install_write_entries(target, txn, writes, commit_ts)
             target.note_ts(commit_ts)

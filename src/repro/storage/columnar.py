@@ -17,7 +17,7 @@ compare and hash by ``(table, row)``, so the lock manager's per-transaction
 held-lock sets — which rely on record identity with the dict backend — keep
 working when two views of one row meet.  Lock state stays sparse: a dict
 keyed by row index holds :class:`~repro.storage.lock.LockState` only for the
-rows that have ever been locked.
+rows locked right now (clearing a view's ``lock_state`` pops the entry).
 
 Which backend a table uses is decided at creation time
 (:meth:`repro.storage.partition.PartitionStore.create_table`): workloads with
@@ -137,7 +137,10 @@ class ColumnarRecord:
 
     @lock_state.setter
     def lock_state(self, state) -> None:
-        self._t._lock_states[self._row] = state
+        if state is None:
+            self._t._lock_states.pop(self._row, None)
+        else:
+            self._t._lock_states[self._row] = state
 
     @property
     def deleted(self) -> bool:
@@ -219,7 +222,7 @@ class ColumnarTable:
         self._rts = array("d")
         self._version = array("q")
         self._deleted = bytearray()
-        # Sparse: row index -> LockState, only for rows ever contended.
+        # Sparse: row index -> LockState, only for rows locked right now.
         self._lock_states: dict[int, Any] = {}
         # Dense mode stores *no key objects at all*: keys are exactly the row
         # indices 0..n-1 (what every workload loader produces), which at 1M
@@ -318,7 +321,7 @@ class ColumnarTable:
                 if col not in values:
                     arr[row] = 0
 
-    def _append_row(self, key, value: dict) -> int:
+    def _check_columns(self, value: dict) -> None:
         by_name = self._by_name
         if len(value) > len(by_name) or any(col not in by_name for col in value):
             unknown = [col for col in value if col not in by_name]
@@ -326,6 +329,9 @@ class ColumnarTable:
                 f"column {unknown[0]!r} not in the fixed schema of columnar "
                 f"table {self.name!r} (columns: {', '.join(self.schema.names)})"
             )
+
+    def _append_row(self, key, value: dict) -> int:
+        self._check_columns(value)
         row = self._n_rows
         if self._dense and not (type(key) is int and key == row):
             self._go_sparse()
@@ -355,6 +361,37 @@ class ColumnarTable:
         self._deleted.append(0)
         self._n_rows = row + 1
         return row
+
+    def load_dense(self, n: int, value: dict) -> None:
+        """Insert ``n`` copies of ``value`` under the keys ``0..n-1``.
+
+        The loaders' bulk path: on an empty dense table each column is built
+        once at its exact size, with no per-row work and no growth slack.  A
+        table that already has rows, runs sparse or carries a secondary index
+        takes the row-by-row :meth:`insert` path, to the same end state.
+        """
+        if self._n_rows or not self._dense or self._indexes:
+            for key in range(n):
+                self.insert(key, value)
+            return
+        self._check_columns(value)
+        columns = {}
+        for col, arr in self._columns:
+            item = value.get(col, 0)
+            try:
+                columns[col] = array(arr.typecode, [item]) * n
+            except TypeError as exc:
+                raise TableError(
+                    f"column {col!r} of columnar table {self.name!r} is "
+                    f"numeric; got {item!r}"
+                ) from exc
+        self._by_name = columns
+        self._columns = tuple(columns.items())
+        self._wts = array("d", [0.0]) * n
+        self._rts = array("d", [0.0]) * n
+        self._version = array("q", [0]) * n
+        self._deleted = bytearray(n)
+        self._n_rows = self._live_count = len(self._deleted)
 
     def insert(self, key, value: dict) -> ColumnarRecord:
         """Insert a new row; duplicate keys are an error (unique-key constraint)."""

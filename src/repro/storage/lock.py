@@ -21,6 +21,11 @@ the wait deque is allocated lazily on first contention, grant/release keep an
 exclusive-holder count so the record's aggregate mode is maintained in O(1)
 without scanning holders, and compatibility checks compare dict sizes instead
 of materializing sets.
+
+Lock state lives only while a record is in use: the first acquire attaches a
+:class:`LockState`, and the release that leaves it with no holders and no
+waiters detaches it again, so a long run keeps state for the records locked
+*now*, not for every record ever locked.  Queries never attach state.
 """
 
 from __future__ import annotations
@@ -107,20 +112,25 @@ class LockManager:
         self.stats = {"grants": 0, "waits": 0, "aborts": 0, "releases": 0}
 
     # -- helpers -----------------------------------------------------------
-    @staticmethod
-    def _state(record: "Record") -> LockState:
-        if record.lock_state is None:
-            record.lock_state = LockState()
-        return record.lock_state
-
     def holders_of(self, record: "Record") -> dict:
-        return dict(self._state(record).holders)
+        state = record.lock_state
+        return dict(state.holders) if state is not None else {}
 
     def is_locked(self, record: "Record") -> bool:
-        return self._state(record).locked
+        state = record.lock_state
+        return state is not None and state.locked
 
     def held_by(self, txn_id, record: "Record") -> Optional[LockMode]:
-        return self._state(record).held_by(txn_id)
+        state = record.lock_state
+        return state.held_by(txn_id) if state is not None else None
+
+    def locked_by_other(self, txn_id, record: "Record") -> bool:
+        """Does any transaction other than ``txn_id`` hold a lock on ``record``?"""
+        state = record.lock_state
+        if state is None:
+            return False
+        holders = state.holders
+        return len(holders) > 1 or (bool(holders) and txn_id not in holders)
 
     def locks_held(self, txn_id) -> set:
         return set(self._held.get(txn_id, ()))
@@ -128,7 +138,9 @@ class LockManager:
     # -- acquisition --------------------------------------------------------
     def try_acquire(self, txn_id, record: "Record", mode: LockMode) -> bool:
         """Non-blocking acquire; returns ``True`` iff granted immediately."""
-        state = self._state(record)
+        state = record.lock_state
+        if state is None:
+            record.lock_state = state = LockState()
         held = state.holders.get(txn_id)
         if held is not None and (held is mode or held is LockMode.EXCLUSIVE):
             return True
@@ -239,6 +251,8 @@ class LockManager:
         self._recompute_mode(state)
         if state.waiters:
             self._wake_waiters(state, record)
+        elif not state.holders:
+            record.lock_state = None    # idle: detach until the next acquire
 
     def release_all(self, txn_id) -> None:
         """Release every lock held by ``txn_id``."""
@@ -293,13 +307,17 @@ class LockManager:
         The woken requester counts as an abort; the accounting lives here so
         both the generator and the ``acquire_nowait`` call sites observe it.
         """
-        state = self._state(record)
+        state = record.lock_state
+        if state is None:
+            return
         waiters = state.waiters
         failed: list[Event] = []
         while waiters:
             request = waiters.popleft()
             failed.append(request.event)
             self.stats["aborts"] += 1
+        if not state.holders:
+            record.lock_state = None
         if failed:
             self.env.succeed_all(failed, False)
 
@@ -307,7 +325,7 @@ class LockManager:
         """Drop all lock state (used when a partition crashes and restarts)."""
         for txn_id in list(self._held):
             for record in list(self._held.get(txn_id, ())):
-                state = self._state(record)
+                state = record.lock_state
                 removed = state.holders.pop(txn_id, None)
                 if removed is LockMode.EXCLUSIVE:
                     state.n_exclusive -= 1

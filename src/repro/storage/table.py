@@ -114,6 +114,11 @@ class Table:
             index.add(key, record.value)
         return record
 
+    def load_dense(self, n: int, value: dict) -> None:
+        """Insert ``n`` copies of ``value`` under the keys ``0..n-1``."""
+        for key in range(n):
+            self.insert(key, value)
+
     def upsert(self, key, value: dict) -> Record:
         """Insert or overwrite without raising on duplicates (loader use only)."""
         existing = self._records.get(key)

@@ -24,6 +24,7 @@ __all__ = [
     "TxnAborted",
     "UserAbort",
     "AbortReason",
+    "RetiredTransactionError",
 ]
 
 
@@ -101,6 +102,36 @@ class UserAbort(TxnAborted):
         super().__init__(AbortReason.USER, detail)
 
 
+class RetiredTransactionError(RuntimeError):
+    """A retired transaction's read/write set was touched."""
+
+
+class _Retired:
+    """Stands in for the sets of a retired transaction: every use raises.
+
+    An empty tuple would read as "no writes" and let a late reader silently
+    skip work; this fails at the first touch instead.
+    """
+
+    __slots__ = ()
+
+    def _fail(self, *args, **kwargs):
+        raise RetiredTransactionError(
+            "the transaction was retired after commit; its read/write sets are gone"
+        )
+
+    __iter__ = __len__ = __bool__ = __contains__ = __getitem__ = _fail
+
+    def __getattr__(self, name):
+        self._fail()
+
+    def __repr__(self) -> str:
+        return "<retired>"
+
+
+_RETIRED = _Retired()
+
+
 @dataclass(slots=True)
 class ReadEntry:
     """One record read by the transaction."""
@@ -172,6 +203,17 @@ class Transaction:
     def add_breakdown(self, component: str, duration: float) -> None:
         if duration > 0:
             self.breakdown[component] = self.breakdown.get(component, 0.0) + duration
+
+    def retire(self) -> None:
+        """Drop the read/write sets once the commit has been handed off.
+
+        A committed transaction can wait milliseconds for group commit; past
+        the hand-off only its id, timestamps, participants, timing and
+        breakdown are read.  Any later use of a set raises
+        :class:`RetiredTransactionError`.
+        """
+        self.read_set = self.write_set = _RETIRED
+        self._read_index = self._write_index = _RETIRED
 
     def effective_ts(self) -> float:
         """The timestamp the watermark scheme should use for this transaction."""

@@ -155,9 +155,7 @@ class YCSBWorkload(Workload):
         row = {f"field{i}": 0 for i in range(FIELDS)}
         for partition_id, server in cluster.servers.items():
             table = server.store.create_table(TABLE, schema=SCHEMA)
-            insert = table.insert
-            for key in range(self.config.keys_per_partition):
-                insert(key, row)
+            table.load_dense(self.config.keys_per_partition, row)
 
     # -- transaction streams --------------------------------------------------------
     def make_source(self, cluster: "Cluster", partition_id: int, stream_id: int) -> YCSBSource:

@@ -5,8 +5,14 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import PROTOCOLS
+from repro.storage.columnar import ColumnarTable
 
-from tests.conftest import TransferWorkload, tiny_config, tiny_ycsb
+from tests.conftest import (
+    TransferWorkload,
+    make_manual_cluster,
+    tiny_config,
+    tiny_ycsb,
+)
 
 
 DEFAULT_DURABILITY = {
@@ -56,6 +62,53 @@ def test_no_locks_left_behind_after_the_run(protocol):
         locked = [r.key for r in table.records()
                   if r.lock_state is not None and r.lock_state.locked]
         assert locked == [], f"{protocol} left locks on partition {server.partition_id}"
+
+
+@pytest.mark.parametrize("backend", ["auto", "dict"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_no_lock_state_survives_a_fault_free_run(protocol, backend):
+    """Lock state lives only while a record is locked: none is left after."""
+    cluster = Cluster(
+        tiny_config(protocol, durability=DEFAULT_DURABILITY[protocol],
+                    storage_backend=backend),
+        tiny_ycsb(),
+    )
+    result = cluster.run()
+    cluster.env.run(until=cluster.env.now + 50_000)
+    assert result.committed > 0
+    for server in cluster.servers.values():
+        for table in server.store.tables.values():
+            if isinstance(table, ColumnarTable):
+                assert table._lock_states == {}, f"{protocol}: {table.name}"
+            else:
+                assert all(r.lock_state is None for r in table._records.values()), (
+                    f"{protocol}: {table.name}"
+                )
+
+
+def test_tapir_decision_installs_writes_after_the_coordinator_retired():
+    """The one-way commit decision carries its writes, not the live txn."""
+    cluster = make_manual_cluster("tapir", n_partitions=2)
+    server = cluster.servers[0]
+    remote = cluster.servers[1].store.table("kv")
+    txn = server.new_transaction("manual")
+    in_flight = {}
+
+    def logic(ctx):
+        yield from ctx.read(0, "kv", 1)
+        yield from ctx.update(1, "kv", 3, {"v": 55})
+
+    def drive():
+        committed = yield from cluster.protocol.run_transaction(server, txn, logic)
+        in_flight["before"] = remote.get(3).value["v"]
+        txn.retire()
+        return committed
+
+    process = cluster.env.process(drive())
+    cluster.env.run(until=cluster.env.now + 100_000)
+    assert process.value is True
+    assert in_flight["before"] == 0           # the decision was still on the wire
+    assert remote.get(3).value["v"] == 55
 
 
 @pytest.mark.parametrize("protocol", ["primo", "sundial", "silo", "2pl_wd"])

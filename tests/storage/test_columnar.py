@@ -190,6 +190,92 @@ def test_sparse_fallback_preserves_record_identity():
     assert before == after  # same (table, row) even across the mode switch
 
 
+# -- bulk dense load --------------------------------------------------------------
+
+def _table_state(table):
+    return (
+        len(table),
+        list(table.keys()),
+        [(r.key, r.value, r.wts, r.rts, r.version, r.deleted) for r in table.records()],
+        [table.get(key).value for key in (0, 3, 6)],
+    )
+
+
+def test_load_dense_matches_row_by_row_insert():
+    row = {"a": 7, "b": 1.5}
+    bulk, reference = make_table(), make_table()
+    bulk.load_dense(7, row)
+    for key in range(7):
+        reference.insert(key, row)
+    assert _table_state(bulk) == _table_state(reference)
+    assert bulk._dense and bulk.nbytes == reference.nbytes
+    # Missing columns default to 0, like insert.
+    partial = make_table()
+    partial.load_dense(2, {"b": 2.0})
+    assert partial.get(1).value == {"a": 0, "b": 2.0}
+
+
+def test_load_dense_rows_are_independent():
+    table = make_table()
+    table.load_dense(3, {"a": 1, "b": 0.0})
+    table.get(0).install_fields({"a": 9}, 4.0)
+    assert table.get(0).value["a"] == 9 and table.get(0).version == 1
+    assert table.get(1).value["a"] == 1 and table.get(1).version == 0
+    table.insert(3, {"a": 3, "b": 0.0})       # appending after a bulk load stays dense
+    assert table._dense and len(table) == 4
+
+
+def test_load_dense_falls_back_to_insert():
+    row = {"a": 1, "b": 0.0}
+    non_empty = make_table()
+    non_empty.insert(0, row)
+    non_empty.delete(0)
+    non_empty.load_dense(3, row)               # reuses the tombstoned row 0
+    assert list(non_empty.keys()) == [0, 1, 2]
+    assert [r.version for r in non_empty.records()] == [1, 0, 0]
+    sparse = make_table()
+    sparse.insert("odd", row)
+    sparse.load_dense(2, row)
+    indexed = make_table()
+    indexed.create_index("by_a", lambda value: value["a"])
+    indexed.load_dense(3, row)
+    assert sorted(indexed.index_lookup("by_a", 1)) == [0, 1, 2]
+    assert list(sparse.keys()) == ["odd", 0, 1]
+
+
+def test_load_dense_duplicate_key_still_raises_on_fallback():
+    table = make_table()
+    table.insert(0, {"a": 1, "b": 0.0})
+    with pytest.raises(TableError, match="duplicate key"):
+        table.load_dense(2, {"a": 1, "b": 0.0})
+
+
+def test_load_dense_validates_like_insert():
+    with pytest.raises(TableError, match="not in the fixed schema"):
+        make_table().load_dense(3, {"zzz": 1})
+    with pytest.raises(TableError, match="is numeric"):
+        make_table().load_dense(3, {"a": "x", "b": 0.0})
+
+
+def test_dict_table_load_dense_is_row_by_row_insert():
+    table = Table("d")
+    table.load_dense(3, {"a": 1})
+    assert list(table.keys()) == [0, 1, 2]
+    assert table.get(2).value == {"a": 1}
+    table.get(2).value["a"] = 5                # each row owns its value dict
+    assert table.get(1).value == {"a": 1}
+
+
+def test_clearing_lock_state_pops_the_sparse_entry():
+    table = make_table()
+    table.load_dense(2, {"a": 0, "b": 0.0})
+    record = table.get(1)
+    record.lock_state = "state"
+    assert table._lock_states == {1: "state"}
+    record.lock_state = None
+    assert table._lock_states == {} and table.get(1).lock_state is None
+
+
 # -- scans and secondary indexes -----------------------------------------------
 
 def test_scan_filters_on_materialized_rows():

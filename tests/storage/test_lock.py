@@ -232,3 +232,60 @@ def test_lock_invariants_hold_under_random_schedules(ops):
         for tid in list(manager.holders_of(record)):
             manager.release(tid, record)
         assert not manager.is_locked(record)
+
+
+def test_release_detaches_idle_lock_state():
+    env, manager = make_manager()
+    record = Record(1, {})
+    first, second = TxnId(1, 0), TxnId(2, 0)
+    assert acquire(env, manager, first, record, LockMode.SHARED) is True
+    assert acquire(env, manager, second, record, LockMode.SHARED) is True
+    manager.release(first, record)
+    assert record.lock_state is not None      # still held by the second reader
+    manager.release(second, record)
+    assert record.lock_state is None
+
+
+def test_release_keeps_state_while_a_waiter_takes_over():
+    env, manager = make_manager()
+    record = Record(1, {})
+    young, old = TxnId(5, 0), TxnId(1, 0)
+    assert acquire(env, manager, young, record, LockMode.EXCLUSIVE) is True
+    waiting = manager.acquire_nowait(old, record, LockMode.EXCLUSIVE)
+    manager.release(young, record)
+    env.run(until=env.now + 1)
+    assert waiting.value is True
+    assert manager.held_by(old, record) is LockMode.EXCLUSIVE
+    manager.release(old, record)
+    assert record.lock_state is None
+
+
+def test_lock_queries_attach_no_state():
+    _, manager = make_manager()
+    record = Record(1, {})
+    assert manager.holders_of(record) == {}
+    assert manager.is_locked(record) is False
+    assert manager.held_by(TxnId(1, 0), record) is None
+    assert manager.locked_by_other(TxnId(1, 0), record) is False
+    assert record.lock_state is None
+
+
+def test_locked_by_other_ignores_the_asking_transaction():
+    env, manager = make_manager()
+    record = Record(1, {})
+    me, other = TxnId(1, 0), TxnId(2, 0)
+    acquire(env, manager, me, record, LockMode.SHARED)
+    assert manager.locked_by_other(me, record) is False
+    assert manager.locked_by_other(other, record) is True
+    acquire(env, manager, other, record, LockMode.SHARED)
+    assert manager.locked_by_other(me, record) is True
+
+
+def test_force_release_everything_detaches_all_state():
+    env, manager = make_manager()
+    records = [Record(i, {}) for i in range(3)]
+    for i, record in enumerate(records):
+        acquire(env, manager, TxnId(i + 1, 0), record, LockMode.SHARED)
+        acquire(env, manager, TxnId(i + 10, 0), record, LockMode.SHARED)
+    manager.force_release_everything()
+    assert all(record.lock_state is None for record in records)

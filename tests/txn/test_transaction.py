@@ -1,11 +1,13 @@
 """Tests for transaction identifiers, read/write sets and status bookkeeping."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.txn.transaction import (
     AbortReason,
     ReadEntry,
+    RetiredTransactionError,
     Transaction,
     TxnAborted,
     TxnId,
@@ -97,3 +99,32 @@ def test_abort_exceptions_carry_reasons():
     user = UserAbort("rollback requested")
     assert user.reason is AbortReason.USER
     assert isinstance(user, TxnAborted)
+
+
+def test_retired_transaction_sets_fail_loudly():
+    txn = make_txn()
+    txn.add_read(ReadEntry(partition=0, table="t", key=1, value={"v": 1}))
+    txn.add_write(WriteEntry(partition=1, table="t", key=2, updates={"v": 2}, local=False))
+    txn.ts = 5.0
+    txn.add_breakdown("execute", 3.0)
+    txn.retire()
+    touches = [
+        lambda: txn.find_read(0, "t", 1),
+        lambda: txn.find_write(1, "t", 2),
+        lambda: txn.reads_for_partition(0),
+        lambda: txn.writes_for_partition(1),
+        lambda: txn.write_covered_by_read(0, "t", 1),
+        lambda: txn.add_read(ReadEntry(partition=0, table="t", key=3, value={})),
+        lambda: txn.add_write(WriteEntry(partition=0, table="t", key=3, updates={})),
+        lambda: len(txn.read_set),
+        lambda: bool(txn.write_set),
+        lambda: list(txn.write_set),
+    ]
+    for touch in touches:
+        with pytest.raises(RetiredTransactionError):
+            touch()
+    # What durability and metrics still read survives retirement.
+    assert txn.tid == TxnId(1, 0)
+    assert txn.effective_ts() == 5.0
+    assert txn.all_partitions() == {0, 1}
+    assert txn.breakdown["execute"] == 3.0
